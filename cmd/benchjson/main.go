@@ -19,6 +19,7 @@
 //	go run ./cmd/benchjson -label after            # run + record
 //	go run ./cmd/benchjson -label pr4 -benchtime 2s
 //	go run ./cmd/benchjson -parse out.txt -label x # record a saved run
+//	go run ./cmd/benchjson -label x -machine "Xeon, 2 vCPU"  # name the machine
 //
 // Each invocation replaces the named label in the -out file and leaves
 // every other label untouched, so "before" numbers captured at the start of
@@ -73,6 +74,9 @@ type benchResult struct {
 type trajectory struct {
 	Command string                   `json:"command"`
 	Runs    map[string][]benchResult `json:"runs"`
+	// Machines names the machine each label was taken on (-machine), so
+	// two labels are comparable only when they name the same one.
+	Machines map[string]string `json:"machines,omitempty"`
 }
 
 func main() {
@@ -89,6 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pkg       = fs.String("pkg", "./internal/docdb", "package holding the benchmarks")
 		benchtime = fs.String("benchtime", "1s", "go test -benchtime value")
 		parse     = fs.String("parse", "", "parse a saved 'go test -bench' output file instead of running")
+		machine   = fs.String("machine", "", "the machine the run was taken on, e.g. CPU model and core count")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -138,6 +143,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	traj.Command = cmdline
 	traj.Runs[*label] = results
+	delete(traj.Machines, *label)
+	if *machine != "" {
+		if traj.Machines == nil {
+			traj.Machines = map[string]string{}
+		}
+		traj.Machines[*label] = *machine
+	}
 
 	b, err := json.MarshalIndent(traj, "", "  ")
 	if err != nil {

@@ -183,3 +183,44 @@ func TestRunRejectsNoResults(t *testing.T) {
 		t.Fatalf("exit %d, want 1", code)
 	}
 }
+
+// TestRunRecordsMachine: -machine names the machine per label, and
+// re-recording a label without it drops the stale name.
+func TestRunRecordsMachine(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "bench.txt")
+	if err := os.WriteFile(in, []byte(sampleOutput), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "BENCH_x.json")
+	read := func() trajectory {
+		t.Helper()
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var traj trajectory
+		if err := json.Unmarshal(b, &traj); err != nil {
+			t.Fatal(err)
+		}
+		return traj
+	}
+	var stdout, stderr bytes.Buffer
+	for i, args := range [][]string{
+		{"-label", "base", "-machine", "box A", "-parse", in, "-out", out},
+		{"-label", "change", "-machine", "box A", "-parse", in, "-out", out},
+		{"-label", "change", "-parse", in, "-out", out},
+	} {
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, stderr.String())
+		}
+		if i == 1 {
+			if m := read().Machines; m["base"] != "box A" || m["change"] != "box A" {
+				t.Fatalf("machines after two labels: %v", m)
+			}
+		}
+	}
+	if m := read().Machines; m["base"] != "box A" || len(m) != 1 {
+		t.Fatalf("machines after re-recording without -machine: %v", m)
+	}
+}

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"slices"
 )
 
 // Default penalty weights: a candidate whose every link is already used by
@@ -111,123 +110,80 @@ type PathSet struct {
 // with ties broken toward the better base rank. Like Best, it returns an
 // error when no candidate satisfies the request.
 func (e *Engine) SelectSet(ctx context.Context, serverID int, req SetRequest) (PathSet, error) {
-	if err := ctx.Err(); err != nil {
-		return PathSet{}, fmt.Errorf("selection: select cancelled: %w", err)
-	}
 	req = req.withDefaults()
-	snap, err := e.snapshotFor(ctx)
+	aggs, err := e.destination(ctx, serverID)
 	if err != nil {
 		return PathSet{}, err
 	}
-	aggs := snap.servers[serverID]
-	if len(aggs) == 0 {
-		return PathSet{}, fmt.Errorf("selection: no collected paths for server %d", serverID)
-	}
-	creq := compileRequest(req.Request)
-	cands := make([]Candidate, 0, len(aggs))
-	pool := make([]*pathAgg, 0, len(aggs))
-	for _, agg := range aggs {
-		if agg.samples < creq.minSamples || !creq.passesHops(agg) {
-			continue
-		}
-		cand := agg.candidate()
-		if !passesPerformance(&cand, &req.Request) {
-			continue
-		}
-		cand.Score = score(&cand, req.Objective)
-		cands = append(cands, cand)
-		pool = append(pool, agg)
-	}
-	if len(cands) == 0 {
+	pool := rankAggs(aggs, &req.Request)
+	if len(pool) == 0 {
 		return PathSet{}, fmt.Errorf("selection: no path to server %d satisfies the request", serverID)
 	}
-	order := rankByScore(cands)
-	chosen := greedySet(cands, pool, order, req)
-	return assembleSet(cands, pool, chosen), nil
+	return assembleSet(aggs, greedySet(aggs, pool, req)), nil
 }
 
-// rankByScore returns candidate indexes sorted best (lowest score) first,
-// ties keeping input order — the same total order sortByScore applies in
-// Select, so cands[order[0]] is exactly Best.
-func rankByScore(cands []Candidate) []int32 {
-	order := make([]int32, len(cands))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		sa, sb := cands[a].Score, cands[b].Score
-		switch {
-		case sa < sb:
-			return -1
-		case sa > sb:
-			return 1
-		}
-		return int(a - b)
-	})
-	return order
-}
-
-// greedySet picks min(K, len) candidates by sequential argmin over the
-// marginal cost, returning their indexes into cands in selection order.
-// The argmin at each step is unique — the tie-break on rank is a total
-// order — so the result is deterministic for a given snapshot and request.
-func greedySet(cands []Candidate, pool []*pathAgg, order []int32, req SetRequest) []int32 {
-	k := min(req.K, len(cands))
-	norm := normScores(cands, order)
+// greedySet picks min(K, len(pool)) candidates by sequential argmin over
+// (marginal cost, score, catalogue index) and returns them in selection
+// order. Score and index are cmpRanked's total order, so among cost ties
+// the better-ranked candidate wins without a sorted rank vector, and the
+// argmin is unique: the result is deterministic for a given snapshot and
+// request. pool is consumed: each chosen entry is swapped out of it.
+func greedySet(aggs []*pathAgg, pool []ranked, req SetRequest) []ranked {
+	k := min(req.K, len(pool))
+	norm := normalizer(pool)
 	usedLinks := make(map[uint64]struct{})
 	usedAS := make(map[uint64]struct{})
-	taken := make([]bool, len(cands))
-	chosen := make([]int32, 0, k)
+	chosen := make([]ranked, 0, k)
 	for len(chosen) < k {
-		bestRank := -1
-		bestCost := math.Inf(1)
-		for rank, ci := range order {
-			if taken[ci] {
-				continue
-			}
-			cost := norm[ci] +
-				req.LinkPenalty*overlapFrac(pool[ci].links, usedLinks) +
-				req.ASPenalty*overlapFrac(pool[ci].transit, usedAS)
-			// Strictly-less keeps the lowest rank among cost ties: rank
-			// iterates best-first.
-			if cost < bestCost {
-				bestCost, bestRank = cost, rank
+		best := -1
+		var bestCost float64
+		for i, r := range pool {
+			agg := aggs[r.idx]
+			cost := norm(r.score) +
+				req.LinkPenalty*overlapFrac(agg.links, usedLinks) +
+				req.ASPenalty*overlapFrac(agg.transit, usedAS)
+			if best < 0 || cost < bestCost || cost == bestCost && cmpRanked(r, pool[best]) < 0 {
+				best, bestCost = i, cost
 			}
 		}
-		ci := order[bestRank]
-		taken[ci] = true
-		chosen = append(chosen, ci)
-		markUsed(usedLinks, pool[ci].links)
-		markUsed(usedAS, pool[ci].transit)
+		r := pool[best]
+		pool[best] = pool[len(pool)-1]
+		pool = pool[:len(pool)-1]
+		chosen = append(chosen, r)
+		markUsed(usedLinks, aggs[r.idx].links)
+		markUsed(usedAS, aggs[r.idx].transit)
 	}
 	return chosen
 }
 
-// normScores maps scores into [0,1] by min-max over the pool (order is the
-// score-sorted index vector, so min/max are its ends). Infinite scores —
-// paths that never answered under a latency objective — land at 2, beyond
-// any finite candidate but still selectable when nothing else is left. A
-// degenerate pool (all scores equal) normalizes to all zeros, leaving the
-// penalties alone to differentiate.
-func normScores(cands []Candidate, order []int32) []float64 {
-	lo := cands[order[0]].Score
+// normalizer maps scores into [0,1] by min-max over the pool, found in one
+// pass. Infinite scores — paths that never answered under a latency
+// objective — land at 2, beyond any finite candidate but still selectable
+// when nothing else is left. A degenerate pool (all scores equal)
+// normalizes to all zeros, leaving the penalties alone to differentiate.
+func normalizer(pool []ranked) func(score float64) float64 {
+	lo := pool[0].score
+	for _, r := range pool[1:] {
+		if r.score < lo {
+			lo = r.score
+		}
+	}
 	hi := lo
-	for _, ci := range order[1:] {
-		if s := cands[ci].Score; !math.IsInf(s, 0) && s > hi {
-			hi = s
+	for _, r := range pool {
+		if !math.IsInf(r.score, 0) && r.score > hi {
+			hi = r.score
 		}
 	}
-	out := make([]float64, len(cands))
 	span := hi - lo
-	for i, c := range cands {
+	return func(s float64) float64 {
 		switch {
-		case math.IsInf(c.Score, 0):
-			out[i] = 2
+		case math.IsInf(s, 0):
+			return 2
 		case span > 0:
-			out[i] = (c.Score - lo) / span
+			return (s - lo) / span
 		}
+		return 0
 	}
-	return out
 }
 
 // overlapFrac is the fraction of keys already present in used.
@@ -250,31 +206,34 @@ func markUsed(used map[uint64]struct{}, keys []uint64) {
 	}
 }
 
-// assembleSet materialises the PathSet and its disjointness accounting:
-// a traversal (one path using one link / interior AS) counts as shared
-// when at least one other chosen path uses the same key.
-func assembleSet(cands []Candidate, pool []*pathAgg, chosen []int32) PathSet {
+// assembleSet materialises the chosen candidates and the set's
+// disjointness accounting: a traversal (one path using one link / interior
+// AS) counts as shared when at least one other chosen path uses the same
+// key.
+func assembleSet(aggs []*pathAgg, chosen []ranked) PathSet {
 	set := PathSet{Paths: make([]Candidate, 0, len(chosen))}
 	linkUses := make(map[uint64]int)
 	asUses := make(map[uint64]int)
 	totalLinks := 0
-	for _, ci := range chosen {
-		set.Paths = append(set.Paths, cands[ci])
-		for _, k := range pool[ci].links {
+	for _, r := range chosen {
+		cand := aggs[r.idx].candidate()
+		cand.Score = r.score
+		set.Paths = append(set.Paths, cand)
+		for _, k := range aggs[r.idx].links {
 			linkUses[k]++
 			totalLinks++
 		}
-		for _, k := range pool[ci].transit {
+		for _, k := range aggs[r.idx].transit {
 			asUses[k]++
 		}
 	}
-	for _, ci := range chosen {
-		for _, k := range pool[ci].links {
+	for _, r := range chosen {
+		for _, k := range aggs[r.idx].links {
 			if linkUses[k] > 1 {
 				set.SharedLinks++
 			}
 		}
-		for _, k := range pool[ci].transit {
+		for _, k := range aggs[r.idx].transit {
 			if asUses[k] > 1 {
 				set.SharedASes++
 			}

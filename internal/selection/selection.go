@@ -7,6 +7,7 @@
 package selection
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -191,6 +192,30 @@ func (e *Engine) Counters() (rebuilds, folds, coalesced int64) {
 // read plus per-request filtering; when stale, one caller refreshes while
 // others are served the previous snapshot (bounded staleness, snapshot.go).
 func (e *Engine) Select(ctx context.Context, serverID int, req Request) ([]Candidate, error) {
+	return e.Top(ctx, serverID, req, 0)
+}
+
+// Top returns the k best candidates of Select, best first (k <= 0 = all of
+// them); Top(k) is exactly Select()[:k]. Ranking works on a compact
+// (score, catalogue index) vector and keeps only the k best in a bounded
+// heap, so a miss materialises k Candidates, not one per catalogued path.
+func (e *Engine) Top(ctx context.Context, serverID int, req Request, k int) ([]Candidate, error) {
+	aggs, err := e.destination(ctx, serverID)
+	if err != nil {
+		return nil, err
+	}
+	best := topK(rankAggs(aggs, &req), k)
+	out := make([]Candidate, len(best))
+	for i, r := range best {
+		out[i] = aggs[r.idx].candidate()
+		out[i].Score = r.score
+	}
+	return out, nil
+}
+
+// destination returns the serving snapshot's aggregates for one
+// destination, refreshing the snapshot first when it is stale.
+func (e *Engine) destination(ctx context.Context, serverID int) ([]*pathAgg, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("selection: select cancelled: %w", err)
 	}
@@ -202,54 +227,87 @@ func (e *Engine) Select(ctx context.Context, serverID int, req Request) ([]Candi
 	if len(aggs) == 0 {
 		return nil, fmt.Errorf("selection: no collected paths for server %d", serverID)
 	}
-	creq := compileRequest(req)
-	// One allocation sized to the candidate count: at 10³–10⁴ candidates
-	// per destination the append-growth reallocations and the two
-	// reflective sort.SliceStable allocations dominated the profile.
-	out := make([]Candidate, 0, len(aggs))
-	for _, agg := range aggs {
+	return aggs, nil
+}
+
+// ranked is one candidate that passed the request's filters: its score and
+// its index in the destination's catalogue slice. Ranking moves these
+// 16-byte entries instead of 168-byte Candidates with six pointer-bearing
+// fields.
+type ranked struct {
+	score float64
+	idx   int32
+}
+
+// cmpRanked is the one total order every ranking uses: best (lowest) score
+// first, ties broken by catalogue index.
+func cmpRanked(a, b ranked) int {
+	switch {
+	case a.score < b.score:
+		return -1
+	case a.score > b.score:
+		return 1
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// rankAggs filters and scores a destination's aggregates, in catalogue
+// order.
+func rankAggs(aggs []*pathAgg, req *Request) []ranked {
+	creq := compileRequest(*req)
+	out := make([]ranked, 0, len(aggs))
+	for i, agg := range aggs {
 		if agg.samples < creq.minSamples || !creq.passesHops(agg) {
 			continue
 		}
 		cand := agg.candidate()
-		if !passesPerformance(&cand, &req) {
+		if !passesPerformance(&cand, req) {
 			continue
 		}
-		cand.Score = score(&cand, req.Objective)
-		out = append(out, cand)
+		out = append(out, ranked{score(&cand, req.Objective), int32(i)})
 	}
-	return sortByScore(out), nil
+	return out
 }
 
-// sortByScore orders candidates best (lowest score) first, preserving input
-// order on ties. It sorts an index vector and applies the permutation once:
-// a Candidate is a 168-byte struct with six pointer-bearing fields, and
-// letting the sort move the structs themselves (the old sort.SliceStable)
-// spent ~70% of a 5000-candidate Select in element copies and their GC
-// write barriers.
-func sortByScore(cands []Candidate) []Candidate {
-	if len(cands) < 2 {
-		return cands
+// topK returns the k best entries of rs in cmpRanked order (k <= 0 or
+// k >= len(rs): all of them, fully sorted). It reorders rs in place: the
+// first k slots serve as a max-heap holding the k best seen so far, so the
+// worst of them is evicted in O(log k) and nothing else is allocated.
+func topK(rs []ranked, k int) []ranked {
+	if k <= 0 || k >= len(rs) {
+		slices.SortFunc(rs, cmpRanked)
+		return rs
 	}
-	idx := make([]int32, len(cands))
-	for i := range idx {
-		idx[i] = int32(i)
+	h := rs[:k]
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
 	}
-	slices.SortFunc(idx, func(a, b int32) int {
-		sa, sb := cands[a].Score, cands[b].Score
-		switch {
-		case sa < sb:
-			return -1
-		case sa > sb:
-			return 1
+	for _, r := range rs[k:] {
+		if cmpRanked(r, h[0]) < 0 {
+			h[0] = r
+			siftDown(h, 0)
 		}
-		return int(a - b) // ties keep input order: stable without SortStableFunc
-	})
-	sorted := make([]Candidate, len(cands))
-	for i, j := range idx {
-		sorted[i] = cands[j]
 	}
-	return sorted
+	slices.SortFunc(h, cmpRanked)
+	return h
+}
+
+// siftDown restores the max-heap property (worst entry at the root) below
+// h[i].
+func siftDown(h []ranked, i int) {
+	for {
+		worst := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && cmpRanked(h[c], h[worst]) > 0 {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }
 
 // selectUncached is the pre-snapshot engine: it re-aggregates each path's
@@ -267,6 +325,7 @@ func (e *Engine) selectUncached(ctx context.Context, serverID int, req Request) 
 	}
 
 	out := make([]Candidate, 0, len(pathDocs))
+	order := make([]ranked, 0, len(pathDocs))
 	for _, pd := range pathDocs {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("selection: select cancelled: %w", err)
@@ -281,16 +340,22 @@ func (e *Engine) selectUncached(ctx context.Context, serverID int, req Request) 
 		if !passesPerformance(&cand, &req) {
 			continue
 		}
-		cand.Score = score(&cand, req.Objective)
 		out = append(out, cand)
+		order = append(order, ranked{score(&cand, req.Objective), int32(len(order))})
 	}
-	return sortByScore(out), nil
+	slices.SortFunc(order, cmpRanked)
+	sorted := make([]Candidate, len(order))
+	for i, r := range order {
+		sorted[i] = out[r.idx]
+		sorted[i].Score = r.score
+	}
+	return sorted, nil
 }
 
 // Best returns the single best candidate, or an error when no path
 // satisfies the request.
 func (e *Engine) Best(ctx context.Context, serverID int, req Request) (Candidate, error) {
-	cands, err := e.Select(ctx, serverID, req)
+	cands, err := e.Top(ctx, serverID, req, 1)
 	if err != nil {
 		return Candidate{}, err
 	}

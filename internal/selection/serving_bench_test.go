@@ -122,37 +122,98 @@ func syntheticCatalogue(tb testing.TB, topo *topology.Topology, db *docdb.DB,
 	return sid
 }
 
-// BenchmarkServingSelect profiles one Select at generated-world candidate
-// counts: the ases=5000 case serves a destination with 5000 candidate
-// paths over a 5000-AS topology (the ROADMAP's unprofiled regime).
+// generatedCatalogue serves one destination with `ases` candidate paths
+// over a generated world of that many ASes: 1000 on a 20-ISD world, 5000
+// on a 25-ISD one (the ROADMAP's unprofiled regime). The engine has
+// already built its snapshot.
+func generatedCatalogue(b *testing.B, ases int) (*Engine, *docdb.DB, int) {
+	b.Helper()
+	spec := topology.GenerateSpec{
+		Seed: int64(ases), ISDs: 20, CoresPerISD: 2, NonCorePerISD: 48,
+		MaxChildren: 8, CoreDegree: 4,
+	}
+	if ases == 5000 {
+		spec = topology.GenerateSpec{
+			Seed: 5000, ISDs: 25, CoresPerISD: 4, NonCorePerISD: 196,
+			MaxChildren: 12, CoreDegree: 4,
+		}
+	}
+	topo, err := topology.Generate(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	db := docdb.MustOpen()
+	sid := syntheticCatalogue(b, topo, db, ases, 3, 7)
+	e := New(db, topo)
+	if _, err := e.Select(context.Background(), sid, Request{}); err != nil {
+		b.Fatal(err)
+	}
+	return e, db, sid
+}
+
+// BenchmarkServingSelect profiles one Select, which ranks and materialises
+// every candidate, at generated-world candidate counts.
 func BenchmarkServingSelect(b *testing.B) {
 	for _, ases := range []int{1000, 5000} {
 		b.Run(fmt.Sprintf("ases=%d", ases), func(b *testing.B) {
-			spec := topology.GenerateSpec{
-				Seed: int64(ases), ISDs: 20, CoresPerISD: 2, NonCorePerISD: 48,
-				MaxChildren: 8, CoreDegree: 4,
-			}
-			if ases == 5000 {
-				spec = topology.GenerateSpec{
-					Seed: 5000, ISDs: 25, CoresPerISD: 4, NonCorePerISD: 196,
-					MaxChildren: 12, CoreDegree: 4,
-				}
-			}
-			topo, err := topology.Generate(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			db := docdb.MustOpen()
-			sid := syntheticCatalogue(b, topo, db, ases, 3, 7)
-			e := New(db, topo)
+			e, _, sid := generatedCatalogue(b, ases)
 			ctx := context.Background()
-			if _, err := e.Select(ctx, sid, Request{}); err != nil {
-				b.Fatal(err)
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := e.Select(ctx, sid, Request{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkServingTop is the /api/paths?top=5 miss: rank every candidate,
+// materialise the five best.
+func BenchmarkServingTop(b *testing.B) {
+	for _, ases := range []int{1000, 5000} {
+		b.Run(fmt.Sprintf("ases=%d", ases), func(b *testing.B) {
+			e, _, sid := generatedCatalogue(b, ases)
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Top(ctx, sid, Request{}, 5); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkServingFold is one stats insert plus the incremental refresh it
+// triggers, over an unchanged catalogue of 1000 or 5000 candidates: the
+// write path of a served tier, whose cost should track the paths the write
+// touches, not the catalogue.
+func BenchmarkServingFold(b *testing.B) {
+	for _, ases := range []int{1000, 5000} {
+		b.Run(fmt.Sprintf("candidates=%d", ases), func(b *testing.B) {
+			e, db, sid := generatedCatalogue(b, ases)
+			stats := db.Collection(measure.ColStats)
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ts := int64(1_800_000_000_000 + i)
+				err := stats.Insert(docdb.Document{
+					"_id":               fmt.Sprintf("fold#%d", i),
+					measure.FPathID:     measure.PathID(sid, i%ases),
+					measure.FServerID:   sid,
+					measure.FTimestamp:  ts,
+					measure.FLoss:       0.5,
+					measure.FAvgLatency: 20.0,
+					measure.FMdev:       1.0,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := e.snapshotFor(ctx); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,9 +10,11 @@ package selection
 //     per-request filtering/scoring — O(candidates), not O(stats docs);
 //   - a Select at a stale generation refreshes first. Refresh is
 //     incremental: only stats documents newer than the snapshot's
-//     high-water timestamp_ms are folded into copies of the running
-//     aggregates (riding the ordered timestamp index), so refresh cost
-//     scales with the number of NEW documents, not with history;
+//     high-water timestamp_ms are folded (riding the ordered timestamp
+//     index), and only into copies of the aggregates they touch — every
+//     other aggregate is shared with the previous snapshot — so refresh
+//     cost scales with the NEW documents and the paths they touch, not with
+//     history or the catalogue;
 //   - refreshes are single-flight: N concurrent requests at a stale
 //     generation trigger exactly one rebuild, and while it runs, requests
 //     that already have a previous snapshot are served that one (bounded
@@ -26,7 +28,9 @@ package selection
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strings"
 
 	"github.com/upin/scionpath/internal/addr"
@@ -121,8 +125,9 @@ func (a *pathAgg) candidate() Candidate {
 }
 
 // snapshot is one immutable, atomically-published view of the serving
-// state. Readers never mutate it; refreshes build a new one (incremental
-// refreshes clone the aggregates copy-on-write) and swap the pointer.
+// state. Readers never mutate it; refreshes build a new one and swap the
+// pointer. An incremental refresh shares everything it does not fold into
+// with its predecessor (see foldTarget).
 type snapshot struct {
 	pathsGen int64 // paths collection generation folded in
 	statsGen int64 // stats collection generation folded in
@@ -139,7 +144,49 @@ type snapshot struct {
 	folded int
 
 	servers map[int][]*pathAgg // per destination, in PathsForServer order
-	byPath  map[string]*pathAgg
+	// index locates each path's aggregate in servers. It depends only on
+	// the paths catalogue, so every fold of one catalogue shares it.
+	index map[string]aggRef
+}
+
+// aggRef is a path's position in snapshot.servers.
+type aggRef struct {
+	server int
+	i      int32
+}
+
+// foldTarget is the aggregate table a refresh folds into. servers starts
+// out as a shallow copy of base (nil base: servers owns everything, as on
+// rebuild). The first fold into a path copies its destination's pointer
+// slice, if servers still shares it with base, and the aggregate itself,
+// so base is never written and everything no document touches stays
+// shared with it.
+type foldTarget struct {
+	servers, base map[int][]*pathAgg
+	index         map[string]aggRef
+}
+
+// at returns the aggregate to fold pathID's documents into, or nil for a
+// path outside the table.
+func (t foldTarget) at(pathID string) *pathAgg {
+	ref, ok := t.index[pathID]
+	if !ok {
+		return nil
+	}
+	aggs := t.servers[ref.server]
+	if t.base == nil {
+		return aggs[ref.i]
+	}
+	shared := t.base[ref.server]
+	if &aggs[0] == &shared[0] {
+		aggs = slices.Clone(aggs)
+		t.servers[ref.server] = aggs
+	}
+	if aggs[ref.i] == shared[ref.i] {
+		cp := *aggs[ref.i] // sums copied; identity slices shared (immutable)
+		aggs[ref.i] = &cp
+	}
+	return aggs[ref.i]
 }
 
 // refreshFlight is one in-progress snapshot refresh.
@@ -170,7 +217,7 @@ func (e *Engine) SnapshotInfo() (SnapshotInfo, bool) {
 		StatsGeneration: s.statsGen,
 		PathsGeneration: s.pathsGen,
 		HighWaterMs:     s.highWater,
-		Paths:           len(s.byPath),
+		Paths:           len(s.index),
 		StatsFolded:     s.folded,
 	}, true
 }
@@ -257,26 +304,19 @@ func (e *Engine) rebuildOrFold(prev *snapshot) (*snapshot, error) {
 	return snap, err
 }
 
-// foldInto clones prev copy-on-write and folds only the stats documents
-// newer than prev's high-water mark. It returns nil when it detects that a
-// document landed below the mark (the caller must rebuild).
+// foldInto folds only the stats documents newer than prev's high-water
+// mark into a copy-on-write successor of prev: the successor shares prev's
+// path index, and its destination slices and aggregates until a document
+// touches them. It returns nil when it detects that a document landed below
+// the mark (the caller must rebuild).
 func (e *Engine) foldInto(prev *snapshot, statsGen int64) *snapshot {
 	next := &snapshot{
 		pathsGen:  prev.pathsGen,
 		statsGen:  statsGen,
 		statsRW:   prev.statsRW,
 		highWater: prev.highWater,
-		servers:   make(map[int][]*pathAgg, len(prev.servers)),
-		byPath:    make(map[string]*pathAgg, len(prev.byPath)),
-	}
-	for sid, aggs := range prev.servers {
-		cloned := make([]*pathAgg, len(aggs))
-		for i, a := range aggs {
-			cp := *a // sums copied; identity slices shared (immutable)
-			cloned[i] = &cp
-			next.byPath[cp.id.PathID] = cloned[i]
-		}
-		next.servers[sid] = cloned
+		servers:   maps.Clone(prev.servers),
+		index:     prev.index,
 	}
 
 	// Count first, then fold: documents inserted between the two reads are
@@ -286,7 +326,8 @@ func (e *Engine) foldInto(prev *snapshot, statsGen int64) *snapshot {
 	if prev.folded > 0 {
 		filter = docdb.Gte(measure.FTimestamp, prev.highWater)
 	}
-	hw, atHW, folded := e.foldStats(next.byPath, filter, prev.frontier, prev.highWater)
+	hw, atHW, folded := e.foldStats(foldTarget{next.servers, prev.servers, next.index},
+		filter, prev.frontier, prev.highWater)
 	next.folded = prev.folded + folded
 	if next.folded < count {
 		return nil // an out-of-order write slipped below the high-water mark
@@ -309,7 +350,7 @@ func (e *Engine) rebuild(pathsGen, statsGen, statsRW int64) (*snapshot, error) {
 		statsGen: statsGen,
 		statsRW:  statsRW,
 		servers:  make(map[int][]*pathAgg),
-		byPath:   make(map[string]*pathAgg, len(pds)),
+		index:    make(map[string]aggRef, len(pds)),
 	}
 	for i := range pds {
 		pd := &pds[i]
@@ -332,10 +373,11 @@ func (e *Engine) rebuild(pathsGen, statsGen, statsRW int64) (*snapshot, error) {
 		e.annotateGeo(&agg.id)
 		agg.hops = e.hopMetas(pd.Sequence)
 		agg.links, agg.transit = overlapKeys(agg.hops)
+		snap.index[pd.ID] = aggRef{pd.ServerID, int32(len(snap.servers[pd.ServerID]))}
 		snap.servers[pd.ServerID] = append(snap.servers[pd.ServerID], agg)
-		snap.byPath[pd.ID] = agg
 	}
-	hw, atHW, folded := e.foldStats(snap.byPath, nil, nil, math.MinInt64)
+	hw, atHW, folded := e.foldStats(foldTarget{servers: snap.servers, index: snap.index},
+		nil, nil, math.MinInt64)
 	snap.folded = folded
 	snap.highWater = hw
 	snap.frontier = make(map[string]struct{}, len(atHW))
@@ -346,11 +388,11 @@ func (e *Engine) rebuild(pathsGen, statsGen, statsRW int64) (*snapshot, error) {
 }
 
 // foldStats streams matching stats documents zero-copy in storage order,
-// folding each into its path aggregate and tracking the high-water
+// folding each into its path aggregate in t and tracking the high-water
 // timestamp. skip holds already-folded _ids at the previous high-water
 // mark. It returns the new high-water mark, the _ids folded at it this
 // pass, and how many documents were folded.
-func (e *Engine) foldStats(byPath map[string]*pathAgg, filter docdb.Filter,
+func (e *Engine) foldStats(t foldTarget, filter docdb.Filter,
 	skip map[string]struct{}, highWater int64) (hw int64, atHW []string, folded int) {
 	hw = highWater
 	e.stats.ForEach(docdb.Query{Filter: filter}, func(d docdb.Document) bool {
@@ -359,7 +401,7 @@ func (e *Engine) foldStats(byPath map[string]*pathAgg, filter docdb.Filter,
 			return true
 		}
 		if pid, ok := d[measure.FPathID].(string); ok {
-			if agg := byPath[pid]; agg != nil {
+			if agg := t.at(pid); agg != nil {
 				agg.fold(d)
 			}
 		}

@@ -60,10 +60,10 @@ type Config struct {
 }
 
 // intentPeekBytes bounds how much of a POST /api/intent body the router
-// reads to learn the destination. Intents are sub-kilobyte; 64 KiB of
-// headroom keeps the router from buffering an abusive body it will never
-// parse.
-const intentPeekBytes = 64 << 10
+// reads to learn the destination. It is the replica's own body cap: a body
+// the router cannot route from its peek is one the replica refuses with
+// 413, so the router never buffers an abusive body it will never parse.
+const intentPeekBytes = upin.MaxIntentBytes
 
 // shard is one replica: an owner-filtered engine, its front-end, and the
 // response cache that fronts the replica's GET /api/paths and

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -374,5 +375,31 @@ func TestClusterHealthStatsClose(t *testing.T) {
 	}
 	if rec := get(t, tier, "/api/health", ""); rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("post-close health status %d, want 503", rec.Code)
+	}
+}
+
+// TestIntentBodyCapThroughRouter: an oversized intent never reaches a
+// replica's decoder whole, even though the router stitches its peek back
+// in front of the unread tail. Within the cap the intent routes on its
+// server_id and is served; past it the peek cannot route the body and the
+// replica refuses it with 413.
+func TestIntentBodyCapThroughRouter(t *testing.T) {
+	f := setup(t, 77, 1)
+	tier := f.router(Config{Shards: 4})
+	intent := fmt.Sprintf(`{"server_id": %d}`, f.serverIDs[0])
+	for _, c := range []struct {
+		size     int
+		wantCode int
+	}{
+		{upin.MaxIntentBytes, http.StatusOK},
+		{upin.MaxIntentBytes + 1, http.StatusRequestEntityTooLarge},
+	} {
+		body := strings.Repeat(" ", c.size-len(intent)) + intent
+		req := httptest.NewRequest(http.MethodPost, "/api/intent", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		tier.ServeHTTP(rec, req)
+		if rec.Code != c.wantCode {
+			t.Errorf("%d-byte body: status %d, want %d (%s)", c.size, rec.Code, c.wantCode, rec.Body.Bytes())
+		}
 	}
 }

@@ -3,6 +3,7 @@ package upin
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -237,15 +238,12 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	cands, err := s.engine.Select(r.Context(), id, selection.Request{})
+	// top=K keeps the response body small on destinations with thousands
+	// of paths, and the engine materialises only the K best.
+	cands, err := s.engine.Top(r.Context(), id, selection.Request{}, top)
 	if err != nil {
 		s.writeError(w, http.StatusNotFound, err)
 		return
-	}
-	// Candidates arrive best-first; top=K keeps the response body small on
-	// destinations with thousands of paths without changing what is served.
-	if top > 0 && top < len(cands) {
-		cands = cands[:top]
 	}
 	s.writeJSON(w, http.StatusOK, candidatesJSON(cands))
 }
@@ -323,12 +321,21 @@ type IntentResponse struct {
 	Recommendations []recommendJSON `json:"recommendations"`
 }
 
+// MaxIntentBytes bounds a POST /api/intent body. Intents are sub-kilobyte;
+// a larger body is refused with 413 before it is buffered.
+const MaxIntentBytes = 64 << 10
+
 func (s *Server) handleIntent(w http.ResponseWriter, r *http.Request) {
 	var req IntentRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxIntentBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad intent: %w", err))
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.writeError(w, status, fmt.Errorf("bad intent: %w", err))
 		return
 	}
 	if req.ServerID < 1 {

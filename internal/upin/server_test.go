@@ -3,6 +3,7 @@ package upin
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -217,5 +218,29 @@ func TestServerMethodRouting(t *testing.T) {
 	rec2, _ := get(t, srv, "/api/unknown")
 	if rec2.Code != http.StatusNotFound {
 		t.Errorf("unknown route -> %d", rec2.Code)
+	}
+}
+
+// TestServerIntentBodyCap: an intent body is read up to MaxIntentBytes and
+// no further. A valid intent padded with leading whitespace to exactly the
+// cap is served; one byte more is refused with 413 before it is decoded.
+func TestServerIntentBodyCap(t *testing.T) {
+	srv, f := testServer(t, 67)
+	intent := fmt.Sprintf(`{"server_id": %d}`, f.serverID)
+	for _, c := range []struct {
+		size     int
+		wantCode int
+	}{
+		{MaxIntentBytes, http.StatusOK},
+		{MaxIntentBytes + 1, http.StatusRequestEntityTooLarge},
+		{4 * MaxIntentBytes, http.StatusRequestEntityTooLarge},
+	} {
+		body := strings.Repeat(" ", c.size-len(intent)) + intent
+		req := httptest.NewRequest(http.MethodPost, "/api/intent", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != c.wantCode {
+			t.Errorf("%d-byte body: status %d, want %d (%s)", c.size, rec.Code, c.wantCode, rec.Body.Bytes())
+		}
 	}
 }

@@ -113,6 +113,14 @@ echo "== tier 2: path-discovery benchmark smoke (-benchtime 1x)"
 # docs/PATHDISC.md) runnable, including the 1k/5k-AS generated worlds.
 go test -run '^$' -bench=PathDisc -benchtime=1x . >/dev/null
 
+echo "== tier 2: repository benchmark module (go -C perfbench vet + test)"
+# perfbench (BENCHMARK.json's harness) is a module of its own, so the
+# root ./... patterns skip it. Its tests drive every workload briefly,
+# traced and untraced, including the serve-read body check: every served
+# body byte-equal to a plain upin.Server's answer.
+go -C perfbench vet ./...
+go -C perfbench test ./...
+
 echo "== tier 2: parallel campaign smoke (testsuite --workers 4)"
 go run ./cmd/testsuite 2 --servers 1,2,3 --workers 4 --no-bandwidth \
 	--ping-count 5 --ping-interval 1ms >/dev/null
